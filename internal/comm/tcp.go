@@ -260,8 +260,8 @@ func (t *tcpTransport) acceptLoop() {
 	}
 }
 
-// install registers conn as the live link to peer (replacing and
-// closing any previous one) and starts its reader pump.
+// install registers conn as the live link to peer (replacing any
+// previous one) and starts its reader pump.
 func (t *tcpTransport) install(peer int, conn net.Conn) {
 	t.mu.Lock()
 	if t.closed {
@@ -270,7 +270,11 @@ func (t *tcpTransport) install(peer int, conn net.Conn) {
 		return
 	}
 	if old := t.conns[peer]; old != nil {
-		old.Close()
+		// A peer redials only after retiring its end, so the old link
+		// ends in EOF once its pump has drained the frames still buffered
+		// in it; closing it here would drop them. The deadline bounds a
+		// link whose peer vanished without closing it.
+		old.SetReadDeadline(time.Now().Add(t.opts.connectTimeout()))
 	}
 	t.conns[peer] = conn
 	t.seen[peer] = true

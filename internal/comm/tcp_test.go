@@ -206,6 +206,23 @@ func TestTCPSendRetryCountersRecorded(t *testing.T) {
 		c.Send(1, 1, []byte{0})
 		c.Recv(1, 1)
 		<-peerGone
+		// Rank 1's close reaches rank 0 asynchronously: until rank 0's
+		// reader sees the EOF and retires the link, a write still lands in
+		// the half-closed socket's buffer and succeeds. Wait for the
+		// retirement so the send below meets a peer that is gone.
+		tt := c.transport.(*tcpTransport)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			tt.mu.Lock()
+			live := tt.conns[1] != nil
+			tt.mu.Unlock()
+			if !live {
+				break
+			}
+			if time.Now().After(deadline) {
+				errs[0] = fmt.Errorf("link to closed rank 1 never retired")
+				return
+			}
+		}
 		func() {
 			defer func() {
 				p := recover()

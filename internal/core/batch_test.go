@@ -12,13 +12,13 @@ import (
 	"github.com/midas-hpc/midas/internal/rng"
 )
 
-// runBatchWorld runs RunPathBatch on a fresh local world and returns
+// runBatchWorld runs a path RunBatch on a fresh local world and returns
 // rank 0's results, asserting every rank got identical answers.
 func runBatchWorld(t *testing.T, n int, g *graph.Graph, cfg Config, lanes []mld.BatchLane) []mld.LaneResult {
 	t.Helper()
 	all := make([][]mld.LaneResult, n)
 	err := comm.RunLocal(n, comm.CostModel{}, func(c *comm.Comm) error {
-		res, err := RunPathBatch(c, g, cfg, BatchSpec{Lanes: lanes})
+		res, err := RunBatch(c, g, cfg, BatchSpec{Kind: mld.KindPath, Lanes: lanes})
 		if err != nil {
 			return err
 		}
@@ -130,7 +130,7 @@ func TestRunPathBatchWholeBatchCancel(t *testing.T) {
 	lanes := []mld.BatchLane{{K: 5, Seed: 1, Rounds: 1}, {K: 6, Seed: 2, Rounds: 1}}
 	errs := make([]error, 2)
 	err := comm.RunLocal(2, comm.CostModel{}, func(c *comm.Comm) error {
-		res, err := RunPathBatch(c, g, Config{N2: 8, NoTiming: true, Ctx: cancelled}, BatchSpec{Lanes: lanes})
+		res, err := RunBatch(c, g, Config{N2: 8, NoTiming: true, Ctx: cancelled}, BatchSpec{Kind: mld.KindPath, Lanes: lanes})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("rank %d: batch error = %v, want context.Canceled", c.Rank(), err)
 		}
@@ -179,7 +179,7 @@ func TestRunPathBatchMessageCountMatchesSingleQuery(t *testing.T) {
 		{K: 8, Seed: 12, Rounds: 1},
 	}
 	batched := countMsgs(func(c *comm.Comm) error {
-		_, err := RunPathBatch(c, g, cfg, BatchSpec{Lanes: lanes})
+		_, err := RunBatch(c, g, cfg, BatchSpec{Kind: mld.KindPath, Lanes: lanes})
 		return err
 	})
 	// The batch run adds the per-step two-word lane sync (an all-reduce

@@ -13,6 +13,14 @@
 // communication batching. Per-phase-step world barriers and the final
 // XOR all-reduce mirror Algorithm 2's MPIBarrier/MPIReduce.
 //
+// The DP itself is internal/mld's sweep engine: core holds only the
+// plan (the partition, this rank's owned and ghost slots, the halo
+// lists), the cost model, and the small mld.Backend the plan
+// implements — a slot-indexed local view of the graph, the phase-group
+// schedule, the halo exchange, and the world collectives. Every entry
+// point (RunPath, RunTree, RunScan, RunMotif, RunMaxWeightPath,
+// RunBatch) is one mld.RunLanes call with the plan as its backend.
+//
 // Everything random (vertex scalars, fingerprints, partition seeds) is
 // derived from the configured seed, so all ranks construct identical
 // assignments with zero communication.
@@ -32,7 +40,6 @@ import (
 	"sort"
 
 	"github.com/midas-hpc/midas/internal/comm"
-	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
 	"github.com/midas-hpc/midas/internal/mld"
 	"github.com/midas-hpc/midas/internal/obs"
@@ -54,14 +61,16 @@ type Config struct {
 	NoGray         bool // ablation: recompute base values per iteration
 	NoTiming       bool // skip wall-time clock advancement (pure answers)
 
-	// Ctx, when non-nil, makes the run cancellable: between phase steps
-	// the ranks agree on the cancellation state with a one-word
-	// all-reduce (replacing the plain barrier, so every rank leaves the
-	// collective schedule at the same step) and return the context's
-	// error. Nil — the default — keeps the exact barrier protocol, so
-	// message-count-pinned tests and cost models are unchanged. All
-	// ranks must receive the same context. The serving layer
-	// (internal/serve) threads each request's deadline context here.
+	// Ctx, when non-nil, makes the run cancellable: before each round
+	// and between phase steps the ranks agree on the cancellation state
+	// with a two-word [flag, lane mask] all-reduce (replacing the plain
+	// barrier, so every rank leaves the collective schedule at the same
+	// step) and return the context's error. Nil — the default, when no
+	// batch lane carries a context either — keeps the exact barrier
+	// protocol, so message-count-pinned tests and cost models are
+	// unchanged. All ranks must receive the same context. The serving
+	// layer (internal/serve) threads each request's deadline context
+	// here.
 	Ctx context.Context
 
 	// Part, when non-nil, is a precomputed partition to use instead of
@@ -83,7 +92,7 @@ type Config struct {
 	Progress func(done, total int64)
 }
 
-func (cfg Config) withDefaults(worldSize, k int) (Config, error) {
+func (cfg Config) withDefaults(worldSize int) (Config, error) {
 	if cfg.N1 == 0 {
 		cfg.N1 = worldSize
 	}
@@ -93,46 +102,30 @@ func (cfg Config) withDefaults(worldSize, k int) (Config, error) {
 	if cfg.Scheme == "" {
 		cfg.Scheme = partition.SchemeBlock
 	}
-	if cfg.N2 <= 0 {
-		cfg.N2 = 128
-	}
-	if total := uint64(1) << uint(k); uint64(cfg.N2) > total {
-		cfg.N2 = int(total)
-	}
 	return cfg, nil
-}
-
-func (cfg Config) mldOptions() mld.Options {
-	return mld.Options{
-		Seed: cfg.Seed, Epsilon: cfg.Epsilon, Rounds: cfg.Rounds,
-		N2: cfg.N2, NoFingerprints: cfg.NoFingerprints, NoGray: cfg.NoGray,
-	}
 }
 
 // plan is the per-rank execution plan: the partition, this rank's owned
 // vertex set, ghost slots for remote neighbors, and the symmetric halo
 // exchange lists. All ranks derive identical plans deterministically.
+// It is also the rank's mld.Backend (backend.go); the embedded world
+// communicator supplies the collectives.
 type plan struct {
-	cfg    Config
-	g      *graph.Graph
-	group  *comm.Comm // the phase group communicator (size N1)
-	world  *comm.Comm
-	groups int // number of phase groups a = N/N1
-	gid    int // this rank's group index
+	*comm.Comm // the world
+	cfg        Config
+	group      *comm.Comm // the phase group communicator (size N1)
+	view       mld.View   // the local graph and phase-group schedule
 
-	part   *partition.Partition
 	myPart int
 	owned  []int32 // global ids, sorted
 	slotOf []int32 // global id → value-buffer slot; -1 when unused
-	vertOf []int32 // slot → global id
-	nSlots int     // owned + ghosts
 
 	// halo lists per peer part, sorted by part id then vertex id.
 	sendTo   []haloList // our owned boundary vertices each peer needs
 	recvFrom []haloList // peer-owned vertices our updates need
 
-	computeSecs float64 // accumulated modeled/measured compute time (profiling)
-	sumDegOwned int     // Σ_{v owned} deg(v): the per-level work measure
+	computeSecs float64 // accumulated modeled compute time (profiling)
+	sumDegOwned int     // Σ_{v owned} deg(v): the per-level edge count
 
 	rec   *obs.Recorder // the world's recorder; nil when observability is off
 	arena *mld.Arena    // slab pool shared across this plan's rounds
@@ -145,15 +138,15 @@ type haloList struct {
 }
 
 func buildPlan(world *comm.Comm, g *graph.Graph, cfg Config) (*plan, error) {
-	cfg, err := cfg.withDefaults(world.Size(), cfg.K)
+	cfg, err := cfg.withDefaults(world.Size())
 	if err != nil {
 		return nil, err
 	}
 	world.SetPhase("setup")
-	p := &plan{cfg: cfg, g: g, world: world, rec: world.Recorder(), arena: mld.NewArena()}
-	p.groups = world.Size() / cfg.N1
-	p.gid = world.Rank() / cfg.N1
-	p.group = world.Split(p.gid, world.Rank()%cfg.N1)
+	p := &plan{Comm: world, cfg: cfg, rec: world.Recorder(), arena: mld.NewArena()}
+	p.view.Groups = world.Size() / cfg.N1
+	p.view.Group = world.Rank() / cfg.N1
+	p.group = world.Split(p.view.Group, world.Rank()%cfg.N1)
 	p.myPart = p.group.Rank()
 
 	part := cfg.Part
@@ -170,7 +163,6 @@ func buildPlan(world *comm.Comm, g *graph.Graph, cfg Config) (*plan, error) {
 			return nil, err
 		}
 	}
-	p.part = part
 	p.owned = append([]int32(nil), part.Members(p.myPart)...)
 	sort.Slice(p.owned, func(i, j int) bool { return p.owned[i] < p.owned[j] })
 
@@ -226,103 +218,46 @@ func buildPlan(world *comm.Comm, g *graph.Graph, cfg Config) (*plan, error) {
 		}
 		p.sendTo = append(p.sendTo, haloList{part: pu, verts: verts, slots: slots})
 	}
-	p.nSlots = int(next)
-	p.vertOf = make([]int32, p.nSlots)
-	for v, s := range p.slotOf {
-		if s >= 0 {
-			p.vertOf[s] = int32(v)
-		}
-	}
-	for _, v := range p.owned {
-		p.sumDegOwned += g.Degree(v)
-	}
+	p.buildView(g, int(next))
 	return p, nil
 }
 
-// reportProgress surfaces global sweep progress to Config.Progress
-// from world rank 0 after phase step s: once syncStep has returned,
-// every group has finished its s-th phase, so (s+1)·groups phases
-// (clamped to the sweep total) are done world-wide.
-func (p *plan) reportProgress(s, numPhases uint64) {
-	if p.cfg.Progress == nil || p.world.Rank() != 0 {
-		return
-	}
-	done := (s + 1) * uint64(p.groups)
-	if done > numPhases {
-		done = numPhases
-	}
-	p.cfg.Progress(int64(done), int64(numPhases))
-}
-
-// syncStep is the end-of-phase-step world synchronization (Algorithm 2
-// line 12). Without a context it is the plain barrier. With one, it
-// becomes a one-word OR all-reduce of the local cancellation flag, so
-// every rank observes the decision at the same step and the collective
-// schedule never diverges (a local-only context check would leave the
-// other ranks blocked in the next collective); a nonzero result returns
-// the context's error on every rank.
-func (p *plan) syncStep() error {
-	if p.cfg.Ctx == nil {
-		p.world.Barrier()
-		return nil
-	}
-	return p.checkCtx()
-}
-
-// checkCtx is the collective cancellation probe on its own: a no-op
-// without a context, otherwise the OR all-reduce described on syncStep.
-// Round loops call it before starting a round's work.
-func (p *plan) checkCtx() error {
-	if p.cfg.Ctx == nil {
-		return nil
-	}
-	var flag uint64
-	if p.cfg.Ctx.Err() != nil {
-		flag = 1
-	}
-	if p.world.AllreduceOr([]uint64{flag})[0] != 0 {
-		if err := p.cfg.Ctx.Err(); err != nil {
-			return err
+// buildView derives the slot-indexed local graph the engine sweeps:
+// the owned vertices' rows first (adjacency renumbered to slots), then
+// one adjacency-free row per ghost, each slot carrying its vertex's
+// weight.
+func (p *plan) buildView(g *graph.Graph, nSlots int) {
+	vertOf := make([]int32, nSlots)
+	for v, s := range p.slotOf {
+		if s >= 0 {
+			vertOf[s] = int32(v)
 		}
-		// Another rank saw the cancellation first; ours may race a hair
-		// behind, but the run is cancelled either way.
-		return context.Canceled
 	}
-	return nil
+	offsets := make([]int64, nSlots+1)
+	var adj []int32
+	for s, v := range p.owned {
+		for _, u := range g.Neighbors(v) {
+			adj = append(adj, p.slotOf[u])
+		}
+		offsets[s+1] = int64(len(adj))
+	}
+	for s := len(p.owned); s < nSlots; s++ {
+		offsets[s+1] = int64(len(adj))
+	}
+	var weights []int64
+	if g.Weighted() {
+		weights = make([]int64, nSlots)
+		for s, v := range vertOf {
+			weights[s] = g.Weight(v)
+		}
+	}
+	local, err := graph.FromCSR(offsets, adj, weights, nil, nil)
+	if err != nil {
+		panic(err) // the arrays are built consistent above
+	}
+	p.sumDegOwned = len(adj)
+	p.view.Local, p.view.Owned, p.view.Global = local, len(p.owned), vertOf
 }
-
-// advanceCompute charges dt modeled seconds of compute to this rank.
-func (p *plan) advanceCompute(dt float64) {
-	if p.cfg.NoTiming {
-		return
-	}
-	p.world.Clock().Advance(dt)
-	p.computeSecs += dt
-}
-
-// countDPOps charges n field-element operations to the recorder — the
-// measured counterpart of the modeled seconds advanceCompute charges
-// (docs/OBSERVABILITY.md explains how the two relate). No-op when
-// observability is off.
-func (p *plan) countDPOps(n float64) { p.rec.Add(obs.DPOps, int64(n)) }
-
-// span opens a recorder span named by one of obs's cached name helpers,
-// evaluating the name only when observability is on — so the disabled
-// path stays allocation-free even for indices past the name cache
-// (round and phase spans are the exception: their names also become
-// the communicator's failure-phase label via SetPhase, so a rank that
-// dies mid-run reports *where* — see comm.RankError). Pair with
-// endSpan.
-func (p *plan) span(name func(int) string, idx int, cat string) {
-	if cat == "round" || cat == "phase" {
-		p.world.SetPhase(name(idx))
-	}
-	if p.rec.Enabled() {
-		p.rec.Begin(name(idx), cat)
-	}
-}
-
-func (p *plan) endSpan() { p.rec.End() }
 
 func setToSorted(s map[int32]bool) []int32 {
 	out := make([]int32, 0, len(s))
@@ -331,58 +266,6 @@ func setToSorted(s map[int32]bool) []int32 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// exchange sends this rank's boundary vectors for DP level `level` and
-// fills the ghost slots with the peers' values. vals is the flat value
-// buffer (nSlots × stride), nb the live width of each vector. tag
-// distinguishes exchanges so protocol slips fail loudly (it equals the
-// level for the path/tree DPs but carries a weight index too for the
-// weight-stratified ones, which call exchange once per weight class).
-func (p *plan) exchange(vals []gf.Elem, stride, nb, level, tag int) {
-	p.span(obs.HaloName, level, "halo")
-	haloStart := p.world.Clock().Now()
-	// all sends first (non-blocking), then receives: symmetric and
-	// deadlock-free.
-	for _, h := range p.sendTo {
-		payload := make([]byte, 2*nb*len(h.slots))
-		off := 0
-		for _, s := range h.slots {
-			vec := vals[int(s)*stride : int(s)*stride+nb]
-			for _, e := range vec {
-				payload[off] = byte(e)
-				payload[off+1] = byte(e >> 8)
-				off += 2
-			}
-		}
-		p.group.Send(h.part, tag, payload)
-		p.rec.Add(obs.HaloMsgs, 1)
-		p.rec.Add(obs.HaloBytes, int64(len(payload)))
-		p.rec.AddHaloLevel(level, int64(len(payload)))
-	}
-	for _, h := range p.recvFrom {
-		payload := p.group.Recv(h.part, tag)
-		if len(payload) != 2*nb*len(h.slots) {
-			panic(fmt.Sprintf("core: halo message from part %d has %d bytes, want %d",
-				h.part, len(payload), 2*nb*len(h.slots)))
-		}
-		off := 0
-		for _, s := range h.slots {
-			vec := vals[int(s)*stride : int(s)*stride+nb]
-			for q := range vec {
-				vec[q] = gf.Elem(payload[off]) | gf.Elem(payload[off+1])<<8
-				off += 2
-			}
-		}
-	}
-	p.rec.Observe(obs.HistHaloExchange, p.world.Clock().Now()-haloStart)
-	p.endSpan()
-}
-
-// phases returns the number of phases for 2^k iterations at width N2.
-func (p *plan) phases(k int) uint64 {
-	total := uint64(1) << uint(k)
-	return (total + uint64(p.cfg.N2) - 1) / uint64(p.cfg.N2)
 }
 
 // Profile is a rank's time and traffic breakdown for one run: the
@@ -395,48 +278,4 @@ type Profile struct {
 	TotalSecs   float64
 	MsgsSent    int64
 	BytesSent   int64
-}
-
-// RunPathProfiled is RunPath returning this rank's Profile.
-func RunPathProfiled(world *comm.Comm, g *graph.Graph, cfg Config) (bool, Profile, error) {
-	clock0 := world.Clock().Now()
-	stats0 := *world.Stats()
-	if err := validateConfig(g, cfg); err != nil {
-		return false, Profile{}, err
-	}
-	if cfg.K > g.NumVertices() {
-		return false, Profile{}, nil
-	}
-	p, err := buildPlan(world, g, cfg)
-	if err != nil {
-		return false, Profile{}, err
-	}
-	answer := false
-	rounds := cfg.mldOptions().RoundsFor(cfg.K)
-	for round := 0; round < rounds; round++ {
-		if err := p.checkCtx(); err != nil {
-			return false, Profile{}, err
-		}
-		p.span(obs.RoundName, round, "round")
-		p.rec.Add(obs.Rounds, 1)
-		a := mld.NewPathAssignment(g.NumVertices(), cfg.K, cfg.Seed, round)
-		total, err := p.pathRoundLocal(a)
-		if err != nil {
-			p.endSpan()
-			return false, Profile{}, err
-		}
-		global := world.AllreduceXor([]uint64{uint64(total)})
-		p.endSpan()
-		if global[0] != 0 {
-			answer = true
-			break
-		}
-	}
-	prof := Profile{
-		ComputeSecs: p.computeSecs,
-		TotalSecs:   world.Clock().Now() - clock0,
-		MsgsSent:    world.Stats().MsgsSent - stats0.MsgsSent,
-		BytesSent:   world.Stats().BytesSent - stats0.BytesSent,
-	}
-	return answer, prof, nil
 }

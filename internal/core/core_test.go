@@ -304,10 +304,34 @@ func TestOwnershipPartitionInvariants(t *testing.T) {
 				}
 			}
 		}
-		// vertOf inverts slotOf
-		for sl := 0; sl < p.nSlots; sl++ {
-			if p.slotOf[p.vertOf[sl]] != int32(sl) {
-				return fmt.Errorf("vertOf/slotOf mismatch at slot %d", sl)
+		// the view's slot → global map inverts slotOf
+		for sl, v := range p.view.Global {
+			if p.slotOf[v] != int32(sl) {
+				return fmt.Errorf("Global/slotOf mismatch at slot %d", sl)
+			}
+		}
+		// the local graph: owned rows carry the renumbered adjacency,
+		// ghost rows none
+		loc := p.view.Local
+		if loc.NumVertices() != len(p.view.Global) || p.view.Owned != len(p.owned) {
+			return fmt.Errorf("local view has %d rows, %d owned; want %d, %d",
+				loc.NumVertices(), p.view.Owned, len(p.view.Global), len(p.owned))
+		}
+		for sl := int32(0); sl < int32(loc.NumVertices()); sl++ {
+			v := p.view.Global[sl]
+			if int(sl) >= p.view.Owned {
+				if loc.Degree(sl) != 0 {
+					return fmt.Errorf("ghost slot %d has adjacency", sl)
+				}
+				continue
+			}
+			if loc.Degree(sl) != g.Degree(v) {
+				return fmt.Errorf("slot %d has degree %d, vertex %d has %d", sl, loc.Degree(sl), v, g.Degree(v))
+			}
+			for i, u := range loc.Neighbors(sl) {
+				if p.view.Global[u] != g.Neighbors(v)[i] {
+					return fmt.Errorf("slot %d neighbor %d maps to %d, want %d", sl, i, p.view.Global[u], g.Neighbors(v)[i])
+				}
 			}
 		}
 		return nil
@@ -384,9 +408,17 @@ func TestDistributedPathRandomConfigsProperty(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// TestEmptyParts: more parts than vertices leaves some ranks owning
+// nothing; the algorithm must still complete and agree everywhere.
+func TestEmptyParts(t *testing.T) {
+	g := graph.Path(3) // 3 vertices, 4 parts
+	for _, n2 := range []int{1, 2} {
+		want, err := mld.DetectPath(g, 3, mld.Options{Seed: 7, Rounds: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runPathWorld(t, 4, g, Config{K: 3, N1: 4, N2: n2, Seed: 7, Rounds: 1, NoTiming: true}); got != want {
+			t.Fatalf("empty-part world N2=%d: %v vs sequential %v", n2, got, want)
+		}
 	}
-	return b
 }

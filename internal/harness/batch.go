@@ -121,7 +121,7 @@ func BatchBench(p Params) ([]BatchRecord, error) {
 		batchStart := time.Now()
 		comms, err := comm.RunLocalInspect(n, batchBenchModel(), func(c *comm.Comm) error {
 			c.EnableObs()
-			res, err := core.RunPathBatch(c, g, cfg, core.BatchSpec{Lanes: lanes})
+			res, err := core.RunBatch(c, g, cfg, core.BatchSpec{Kind: mld.KindPath, Lanes: lanes})
 			if err != nil {
 				return err
 			}

@@ -1,11 +1,8 @@
 package mld
 
 import (
-	"fmt"
-
 	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
-	"github.com/midas-hpc/midas/internal/obs"
 )
 
 // MaxWeightPath solves the weighted variant of Problem 3(2) from the
@@ -18,168 +15,142 @@ import (
 //	P(i, j, z)    = x_i · Σ_{u∈N(i)} r(u,i,j) · P(u, j-1, z - w(i))
 //
 // so cell (k, z) has a multilinear term iff a k-path of weight exactly z
-// exists; the answer is the largest z with a nonzero total. Cost grows
-// by a factor of the weight range over plain detection (paper Lemma 3's
-// W factor); use scanstat.RoundWeights to keep the grid small.
+// exists; the answer is the largest z with a nonzero total over all
+// rounds. Cost grows by a factor of the weight range over plain
+// detection (paper Lemma 3's W factor); use scanstat.RoundWeights to
+// keep the grid small.
 //
 // Errors are one-sided per round: the reported weight is always
 // realized by some k-path; with probability ≤ opt.Epsilon a
 // larger-weight path may be missed.
 func MaxWeightPath(g *graph.Graph, k int, opt Options) (int64, bool, error) {
-	if err := validateK(k, g.NumVertices()); err != nil {
-		return 0, false, err
-	}
-	if k > g.NumVertices() {
-		return 0, false, nil
-	}
-	// Size the weight grid: any k-path weighs at most k·max_v w(v).
-	var maxw int64
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		w := g.Weight(v)
-		if w < 0 {
-			return 0, false, fmt.Errorf("mld: vertex %d has negative weight %d", v, w)
-		}
-		if w > maxw {
-			maxw = w
-		}
-	}
-	zmax := int64(k) * maxw
-	const gridLimit = 1 << 20
-	if (zmax+1)*int64(g.NumVertices()) > gridLimit*64 {
-		return 0, false, fmt.Errorf("mld: weight grid %d too large; round weights first (scanstat.RoundWeights)", zmax)
-	}
-	if opt.Arena == nil {
-		opt.Arena = NewArena() // share slabs across this call's rounds
-	}
-	best := int64(-1)
-	found := false
-	rounds := opt.RoundsFor(k)
-	for round := 0; round < rounds; round++ {
-		opt.obsSpan(obs.RoundName, round, "round")
-		opt.Obs.Add(obs.Rounds, 1)
-		a := NewMaxWeightAssignment(g.NumVertices(), k, opt.Seed, round)
-		row := maxWeightRound(g, k, zmax, a, opt)
-		opt.obsEnd()
-		for z := zmax; z >= 0; z-- {
-			if row[z] != 0 {
-				found = true
-				if z > best {
-					best = z
-				}
-				break
-			}
-		}
-	}
-	if !found {
-		return 0, false, nil
-	}
-	return best, true, nil
+	r, err := solo(g, KindMaxWeight, BatchLane{K: k}, opt)
+	return r.Weight, r.Found, err
 }
 
-// maxWeightRound evaluates the weight-indexed path polynomial over all
-// 2^k iterations and returns per-weight totals for level k.
-func maxWeightRound(g *graph.Graph, k int, zmax int64, a *Assignment, opt Options) []gf.Elem {
-	n := g.NumVertices()
-	n2 := opt.batch(k)
-	iters := uint64(1) << uint(k)
-	nz := int(zmax) + 1
+// maxWeightGrid bounds (zmax+1)·n, the cells of one weight-stratified
+// DP level.
+const maxWeightGrid = 1 << 26
 
-	// prev[z] and cur[z] are flat n×n2 buffers for the current level.
-	alloc := func() [][]gf.Elem {
-		out := make([][]gf.Elem, nz)
-		for z := range out {
-			out[z] = opt.Arena.Grab(n * n2)
+// maxWeightFamily is the weight-indexed path polynomial as a
+// sweep-engine Family. Each lane keeps private strata (its weight cap
+// is k·maxw) ping-ponging between p[1] (the previous level) and p[2];
+// level j populates weights up to min(j·maxw, zmax), and neighbours
+// read those strata of every level below the lane's k.
+type maxWeightFamily struct {
+	maxw int64
+}
+
+func (f *maxWeightFamily) CountPhases() bool { return true }
+
+func (f *maxWeightFamily) NewAssignment(n int, st *laneState, round int) *Assignment {
+	return NewMaxWeightAssignment(n, st.k, st.Seed, round)
+}
+
+func (f *maxWeightFamily) BeginRound(st *laneState) { st.reset(st.strata.nz) }
+
+// EndRound keeps the heaviest weight with a nonzero total; every round
+// runs, since a later round may find a heavier path.
+func (f *maxWeightFamily) EndRound(st *laneState, round int) {
+	for z := len(st.acc) - 1; z >= 0; z-- {
+		if st.acc[z] != 0 {
+			st.weight = max(st.weight, int64(z))
+			st.found = true
+			break
 		}
-		return out
 	}
-	prev, cur := alloc(), alloc()
-	base := opt.Arena.Grab(n * n2)
-	defer func() {
-		opt.Arena.Put(base)
-		opt.Arena.Put(prev...)
-		opt.Arena.Put(cur...)
-	}()
+	st.done = round+1 >= st.roundsTotal
+}
+
+func (f *maxWeightFamily) Alloc(e *groupRun) {
+	for _, st := range e.gr.live {
+		st.strata.alloc(e, 2)
+	}
+}
+
+func (f *maxWeightFamily) Free(e *groupRun) {
+	for _, st := range e.gr.live {
+		st.strata.free(e)
+	}
+}
+
+func (f *maxWeightFamily) InitRow(e *groupRun) {
+	for _, st := range e.live {
+		st.strata.initRow(e, st, 1)
+		if st.k == 1 {
+			st.foldStrata(e, st.strata.p[1])
+		}
+	}
+}
+
+func (f *maxWeightFamily) Transfers(e *groupRun) int { return maxK(e.live) - 1 }
+
+// zhi is the heaviest weight a lane's level-j pieces can carry.
+func (f *maxWeightFamily) zhi(st *laneState, j int) int {
+	return int(min(int64(j)*f.maxw, int64(st.strata.nz-1)))
+}
+
+func (f *maxWeightFamily) Transfer(e *groupRun, step int) {
+	j := step + 1
+	opt, n2 := e.opt, e.n2
+	lvl := lanesFrom(e.live, j)
+	var elems int64
+	for _, st := range lvl {
+		elems += int64(st.nb) * int64(f.zhi(st, j)+1)
+	}
+	e.level(j, e.levelElems()*elems)
 	one := CachedMulTable(1)
-	totals := make([]gf.Elem, nz)
-	var skipped int64
-	var maxwPrefix int64 // max achievable weight after j vertices
-	var maxw int64
-	for v := int32(0); v < int32(n); v++ {
-		if w := g.Weight(v); w > maxw {
-			maxw = w
+	for _, st := range lvl {
+		prev, cur, base := st.strata.p[1], st.strata.p[2], st.strata.base
+		zhi, zPrev := f.zhi(st, j), f.zhi(st, j-1) // prev is only valid up to zPrev
+		for _, buf := range cur[:zhi+1] {
+			clear(buf)
 		}
-	}
-
-	for q0 := uint64(0); q0 < iters; q0 += uint64(n2) {
-		nb := n2
-		if rem := iters - q0; uint64(nb) > rem {
-			nb = int(rem)
-		}
-		for i := 0; i < n; i++ {
-			a.FillBase(base[i*n2:i*n2+nb], int32(i), q0, opt.NoGray)
-		}
-		for z := 0; z < nz; z++ {
-			buf := prev[z]
-			for i := range buf {
-				buf[i] = 0
-			}
-		}
-		for i := 0; i < n; i++ {
-			w := g.Weight(int32(i))
-			copy(prev[w][i*n2:i*n2+nb], base[i*n2:i*n2+nb])
-		}
-		maxwPrefix = maxw
-		for j := 2; j <= k; j++ {
-			maxwPrefix += maxw
-			zhi := maxwPrefix
-			if zhi > zmax {
-				zhi = zmax
-			}
-			for z := 0; z < nz; z++ {
-				buf := cur[z]
-				for i := range buf {
-					buf[i] = 0
-				}
-			}
-			for i := int32(0); i < int32(n); i++ {
-				wi := g.Weight(i)
-				iLo, iHi := int(i)*n2, int(i)*n2+nb
-				for _, u := range g.Neighbors(i) {
-					// One coefficient covers the whole weight column:
-					// build (or cache-hit) its table once per (u,i).
+		e.sweepRows(func(lo, hi int32) {
+			var sk int64
+			for i := lo; i < hi; i++ {
+				wi := int(e.g.Weight(i))
+				iLo, iHi := int(i)*n2, int(i)*n2+st.nb
+				for _, u := range e.g.Neighbors(i) {
+					// One coefficient covers the whole weight column.
 					t := one
 					if !opt.NoFingerprints {
-						t = a.EdgeTable(u, i, j)
+						t = st.a.EdgeTable(e.vid(u), e.vid(i), j)
 					}
-					uLo, uHi := int(u)*n2, int(u)*n2+nb
-					for z := wi; z <= zhi; z++ {
+					uLo, uHi := int(u)*n2, int(u)*n2+st.nb
+					for z := wi; z <= zhi && z-wi <= zPrev; z++ {
 						src := prev[z-wi][uLo:uHi]
 						if !gf.AnyNonZero(src) {
-							skipped++
+							sk++
 							continue
 						}
 						gf.MulSliceTable16(cur[z][iLo:iHi], src, t)
 					}
 				}
 				for z := wi; z <= zhi; z++ {
-					dst := cur[z][iLo:iHi]
-					gf.HadamardInto(dst, dst, base[iLo:iHi])
+					gf.HadamardInto(cur[z][iLo:iHi], cur[z][iLo:iHi], base[iLo:iHi])
 				}
 			}
-			prev, cur = cur, prev
-		}
-		for z := 0; z < nz; z++ {
-			buf := prev[z]
-			for i := 0; i < n; i++ {
-				for q := 0; q < nb; q++ {
-					totals[z] ^= buf[i*n2+q]
-				}
-			}
+			e.addSkipped(sk)
+		})
+		st.strata.p[1], st.strata.p[2] = cur, prev
+		if st.k == j {
+			st.foldStrata(e, cur)
 		}
 	}
-	opt.Obs.Add(obs.CellsSkipped, skipped)
-	return totals
+	opt.obsEnd()
 }
+
+func (f *maxWeightFamily) Halo(e *groupRun, step int) (int, []Halo) {
+	j := step + 1
+	var halos []Halo
+	for _, st := range lanesFrom(e.live, j+1) {
+		halos = st.strataHalos(e, st.strata.p[1][:f.zhi(st, j)+1], halos)
+	}
+	return j, halos
+}
+
+func (f *maxWeightFamily) Finalize(e *groupRun) {}
 
 // BruteMaxWeightPath is the exhaustive oracle for MaxWeightPath.
 func BruteMaxWeightPath(g *graph.Graph, k int) (int64, bool) {

@@ -16,7 +16,7 @@ import (
 //	P(i, nd, z)      = Σ_{z1+z2=z} P(i, left, z1) · Σ_u r(u,i,nd)·P(u, right, z2)
 func MaxWeightTree(g *graph.Graph, tpl *graph.Template, opt Options) (int64, bool, error) {
 	k := tpl.K()
-	if err := validateK(k, g.NumVertices()); err != nil {
+	if err := ValidateK(k); err != nil {
 		return 0, false, err
 	}
 	if k > g.NumVertices() {

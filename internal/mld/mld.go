@@ -52,8 +52,9 @@
 // iteration space — and retire early; a lane whose BatchLane.Ctx is
 // cancelled is masked out at the next phase boundary while the rest of
 // the batch runs on. docs/BATCHING.md derives the layout, the prefix
-// bijection, and the amortized cost model; internal/core mirrors the
-// scheme for distributed k-path batches.
+// bijection, and the amortized cost model. RunLanes is the one entry
+// point behind all of them, and with a Backend it runs any kind's
+// batch distributed (internal/core supplies the backend).
 package mld
 
 import (
@@ -234,14 +235,12 @@ func ValidateK(k int) error {
 	return nil
 }
 
-func validateK(k, n int) error { return ValidateK(k) }
-
 // vertexCost is the fixed per-vertex overhead of a DP level update
 // (base fill, Hadamard, bookkeeping) expressed in units of one
 // neighbor-edge update, for the edge-balanced range cut below.
 const vertexCost = 4
 
-// parallelVertices runs fn over vertex ranges [lo,hi) on opt.Workers
+// parallelVertices runs fn over vertex ranges [lo,hi) of [0,n) on opt.Workers
 // goroutines (serial when 0/1). Level updates write only to the
 // vertices' own rows, so range splitting is race-free.
 //
@@ -253,8 +252,7 @@ const vertexCost = 4
 // prefix sum, so the cost prefix cost(v) = AdjOffset(v) + vertexCost·v
 // is monotone and each worker boundary is one binary search for
 // cost ≈ i/w of the total.
-func (o Options) parallelVertices(g *graph.Graph, fn func(lo, hi int32)) {
-	n := g.NumVertices()
+func (o Options) parallelVertices(g *graph.Graph, n int, fn func(lo, hi int32)) {
 	w := o.Workers
 	if w <= 1 || n < 2*w {
 		fn(0, int32(n))

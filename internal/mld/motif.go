@@ -6,7 +6,6 @@ import (
 
 	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
-	"github.com/midas-hpc/midas/internal/obs"
 )
 
 // MotifSpec is a generalized graph-motif query: does g contain a
@@ -124,42 +123,26 @@ func NewMotifAssignment(g *graph.Graph, spec *MotifSpec, seed uint64, round int)
 // P(i,1) = x_i, P(i,j) = Σ_u Σ_{j'} r·P(i,j')⊙P(u,j−j') — over
 // lane-contiguous level slabs, each lane folding at its own K.
 // Constraints live entirely in the assignment's zero pattern, so
-// heterogeneous specs share one group.
+// heterogeneous specs share one group. Later levels read every earlier
+// level at neighbour rows, so each level below a lane's K is
+// halo-exchanged.
 type motifFamily struct {
 	g *graph.Graph // labels feed the per-lane constrained assignments
-	p [][]gf.Elem  // p[j]: flat n×stride, j = 1..kmax of the round's live set
+	p [][]gf.Elem  // p[j]: flat rows×stride, j = 1..kmax of the round's live set
 }
 
-func (f *motifFamily) Kind() string      { return "motif" }
 func (f *motifFamily) CountPhases() bool { return true }
 
 func (f *motifFamily) NewAssignment(n int, st *laneState, round int) *Assignment {
 	return NewMotifAssignment(f.g, st.Motif, st.Seed, round)
 }
 
-func (f *motifFamily) BeginRound(st *laneState) { st.total = 0 }
-
-func (f *motifFamily) EndRound(st *laneState, round int) {
-	if st.total != 0 {
-		st.found, st.done = true, true
-	} else if round+1 >= st.roundsTotal {
-		st.done = true
-	}
-}
-
-func (f *motifFamily) groupK(e *groupRun) int {
-	k := 0
-	for _, st := range e.gr.live {
-		if st.k > k {
-			k = st.k
-		}
-	}
-	return k
-}
+func (f *motifFamily) BeginRound(st *laneState)          { st.reset(1) }
+func (f *motifFamily) EndRound(st *laneState, round int) { st.foundOrDone(round) }
 
 func (f *motifFamily) Alloc(e *groupRun) {
 	n := e.g.NumVertices()
-	kmax := f.groupK(e)
+	kmax := maxK(e.gr.live)
 	f.p = make([][]gf.Elem, kmax+1)
 	for j := 1; j <= kmax; j++ {
 		f.p[j] = e.opt.Arena.Grab(n * e.gr.stride)
@@ -179,7 +162,7 @@ func (f *motifFamily) InitRow(e *groupRun) {
 	for i := 0; i < n; i++ {
 		row := i * stride
 		for _, st := range e.live {
-			st.a.FillBase(f.p[1][row+st.off:row+st.off+st.nb], int32(i), e.q0, e.opt.NoGray)
+			st.a.FillBase(f.p[1][row+st.off:row+st.off+st.nb], e.vid(int32(i)), e.q0, e.opt.NoGray)
 		}
 	}
 	spans := liveSpans(e.live)
@@ -188,49 +171,30 @@ func (f *motifFamily) InitRow(e *groupRun) {
 		for i := 0; i < n; i++ {
 			row := i * stride
 			for _, sp := range spans {
-				seg := buf[row+sp.lo : row+sp.hi]
-				for q := range seg {
-					seg[q] = 0
-				}
+				clear(buf[row+sp.Lo : row+sp.Hi])
 			}
 		}
 	}
 	for _, st := range e.live {
 		if st.k == 1 {
-			st.accumulate(f.p[1], stride, n)
+			st.accumulate(f.p[1], stride, e.rows)
 		}
 	}
 }
 
-func (f *motifFamily) Transfers(e *groupRun) int {
-	kPhase := 0
-	for _, st := range e.live {
-		if st.k > kPhase {
-			kPhase = st.k
-		}
-	}
-	return kPhase - 1
-}
+func (f *motifFamily) Transfers(e *groupRun) int { return maxK(e.live) - 1 }
 
 func (f *motifFamily) Transfer(e *groupRun, step int) {
 	jj := step + 1
-	g, opt, stride := e.g, e.opt, e.gr.stride
-	var lvl []*laneState
-	var lvlWidth int64
-	for _, st := range e.live {
-		if st.k >= jj {
-			lvl = append(lvl, st)
-			lvlWidth += int64(st.nb)
-		}
-	}
-	opt.obsSpan(obs.LevelName, jj, "level")
-	opt.obsLevel(levelElems(g) * lvlWidth)
+	opt, stride := e.opt, e.gr.stride
+	lvl := lanesFrom(e.live, jj)
+	e.level(jj, e.levelElems()*laneWidth(lvl))
 	dst := f.p[jj]
-	opt.parallelVertices(g, func(lo, hi int32) {
+	e.sweepRows(func(lo, hi int32) {
 		var sk int64
 		for i := lo; i < hi; i++ {
 			row := int(i) * stride
-			for _, u := range g.Neighbors(i) {
+			for _, u := range e.g.Neighbors(i) {
 				urow := int(u) * stride
 				for _, st := range lvl {
 					for jp := 1; jp < jj; jp++ {
@@ -246,7 +210,7 @@ func (f *motifFamily) Transfer(e *groupRun, step int) {
 						}
 						var r gf.Elem = 1
 						if !opt.NoFingerprints {
-							r = st.a.MotifCoeff(u, i, jj, jp)
+							r = st.a.MotifCoeff(e.vid(u), e.vid(i), jj, jp)
 						}
 						// P(i,jj) += r · P(i,jp) ⊙ P(u,jj−jp)
 						gf.MulHadamardAccumScaled(dst[row+st.off:row+st.off+st.nb], src1, src2, r)
@@ -257,12 +221,19 @@ func (f *motifFamily) Transfer(e *groupRun, step int) {
 		e.addSkipped(sk)
 	})
 	opt.obsEnd()
-	n := g.NumVertices()
 	for _, st := range lvl {
 		if st.k == jj {
-			st.accumulate(dst, stride, n)
+			st.accumulate(dst, stride, e.rows)
 		}
 	}
+}
+
+func (f *motifFamily) Halo(e *groupRun, step int) (int, []Halo) {
+	jj := step + 1
+	if next := lanesFrom(e.live, jj+1); len(next) > 0 {
+		return jj, []Halo{{Vals: f.p[jj], Stride: e.gr.stride, Spans: liveSpans(next)}}
+	}
+	return jj, nil
 }
 
 func (f *motifFamily) Finalize(e *groupRun) {}
@@ -272,75 +243,8 @@ func (f *motifFamily) Finalize(e *groupRun) {}
 // most opt.Epsilon (a "yes" is always correct). Always evaluated over
 // GF(2^16); the Variant option is ignored.
 func DetectMotif(g *graph.Graph, spec *MotifSpec, opt Options) (bool, error) {
-	if err := spec.Validate(); err != nil {
-		return false, err
-	}
-	k := spec.K
-	if k > g.NumVertices() {
-		return false, nil
-	}
-	if opt.Arena == nil {
-		opt.Arena = NewArena() // share slabs across this call's rounds
-	}
-	st := soloLane(k, opt)
-	st.Motif = spec
-	gr := &famGroup{fam: &motifFamily{g: g}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, opt.batch(k), opt); err != nil {
-		return false, err
-	}
-	return st.found, st.err
-}
-
-// DetectMotifBatch answers len(lanes) independent motif queries (each
-// lane's Motif field carries its spec; lane K is taken from the spec)
-// in one batched evaluation. Results match per-lane DetectMotif calls
-// byte-for-byte. Lanes with heterogeneous specs and sizes share one
-// group: the constraint is a per-lane zero pattern, not a layout.
-func DetectMotifBatch(g *graph.Graph, lanes []BatchLane, opt Options) ([]LaneResult, error) {
-	if len(lanes) == 0 {
-		return nil, nil
-	}
-	if len(lanes) > MaxBatchLanes {
-		return nil, fmt.Errorf("mld: batch of %d lanes exceeds MaxBatchLanes=%d", len(lanes), MaxBatchLanes)
-	}
-	res := make([]LaneResult, len(lanes))
-	if opt.Arena == nil {
-		opt.Arena = NewArena()
-	}
-	n := g.NumVertices()
-	sts, kmax, _ := batchStates(lanes, n, res, opt, func(l BatchLane) (int, error) {
-		if err := l.Motif.Validate(); err != nil {
-			return 0, err
-		}
-		return l.Motif.K, nil
-	})
-	n2 := opt.batch(kmax)
-
-	gr := &famGroup{fam: &motifFamily{g: g}, sts: sts}
-	batchErr := runGroups(g, []*famGroup{gr}, n2, opt)
-	for _, st := range sts {
-		res[st.idx] = LaneResult{
-			Found: st.found, Rounds: st.roundsRun, Phases: st.phases,
-			TotalPhases: int64((st.iters + uint64(n2) - 1) / uint64(n2)),
-			Err:         st.err,
-		}
-	}
-	return res, batchErr
-}
-
-// motifRound evaluates the constrained-motif polynomial over all 2^K
-// iterations of one assignment (nonzero ⇒ a satisfying motif exists):
-// one engine sweep of a single motif lane.
-func motifRound(g *graph.Graph, spec *MotifSpec, a *Assignment, opt Options) (gf.Elem, error) {
-	if opt.Arena == nil {
-		opt.Arena = NewArena()
-	}
-	st := &laneState{BatchLane: BatchLane{K: a.K, Motif: spec}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
-	gr := &famGroup{fam: &motifFamily{g: g}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, opt.batch(a.K), opt); err != nil {
-		return 0, err
-	}
-	return st.total, nil
+	r, err := solo(g, KindMotif, BatchLane{Motif: spec}, opt)
+	return r.Found, err
 }
 
 // BruteMotif answers the motif query by enumerating every connected

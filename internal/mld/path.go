@@ -10,27 +10,20 @@ import (
 // init row is P(i,1) = x_i, transfer step j−1 is the path recurrence
 // P(i,j) = x_i · Σ_u r·P(u,j−1) over two ping-pong slabs, and a lane
 // folds its totals at its own final level (heterogeneous-k groups run
-// to the deepest live k).
+// to the deepest live k). Neighbours read each new level while a lane
+// still needs the next one.
 type pathFamily struct {
 	base, prev, cur []gf.Elem
 }
 
-func (f *pathFamily) Kind() string      { return "path" }
 func (f *pathFamily) CountPhases() bool { return true }
 
 func (f *pathFamily) NewAssignment(n int, st *laneState, round int) *Assignment {
 	return NewPathAssignment(n, st.k, st.Seed, round)
 }
 
-func (f *pathFamily) BeginRound(st *laneState) { st.total = 0 }
-
-func (f *pathFamily) EndRound(st *laneState, round int) {
-	if st.total != 0 {
-		st.found, st.done = true, true
-	} else if round+1 >= st.roundsTotal {
-		st.done = true
-	}
-}
+func (f *pathFamily) BeginRound(st *laneState)          { st.reset(1) }
+func (f *pathFamily) EndRound(st *laneState, round int) { st.foundOrDone(round) }
 
 func (f *pathFamily) Alloc(e *groupRun) {
 	n := e.g.NumVertices()
@@ -50,7 +43,7 @@ func (f *pathFamily) InitRow(e *groupRun) {
 	for i := 0; i < n; i++ {
 		row := i * stride
 		for _, st := range e.live {
-			st.a.FillBase(f.base[row+st.off:row+st.off+st.nb], int32(i), e.q0, e.opt.NoGray)
+			st.a.FillBase(f.base[row+st.off:row+st.off+st.nb], e.vid(int32(i)), e.q0, e.opt.NoGray)
 		}
 	}
 	// level 1: P(i,1) = x_i, copied span-fused; k=1 lanes are done.
@@ -58,52 +51,53 @@ func (f *pathFamily) InitRow(e *groupRun) {
 	for i := 0; i < n; i++ {
 		row := i * stride
 		for _, sp := range spans {
-			copy(f.prev[row+sp.lo:row+sp.hi], f.base[row+sp.lo:row+sp.hi])
+			copy(f.prev[row+sp.Lo:row+sp.Hi], f.base[row+sp.Lo:row+sp.Hi])
 		}
 	}
 	for _, st := range e.live {
 		if st.k == 1 {
-			st.accumulate(f.prev, stride, n)
+			st.accumulate(f.prev, stride, e.rows)
 		}
 	}
 }
 
-func (f *pathFamily) Transfers(e *groupRun) int {
-	kPhase := 0
-	for _, st := range e.live {
-		if st.k > kPhase {
-			kPhase = st.k
+func (f *pathFamily) Transfers(e *groupRun) int { return maxK(e.live) - 1 }
+
+// maxK is the deepest k among lanes.
+func maxK(lanes []*laneState) int {
+	k := 0
+	for _, st := range lanes {
+		k = max(k, st.k)
+	}
+	return k
+}
+
+// lanesFrom returns the lanes whose polynomial reaches level j.
+func lanesFrom(lanes []*laneState, j int) []*laneState {
+	var out []*laneState
+	for _, st := range lanes {
+		if st.k >= j {
+			out = append(out, st)
 		}
 	}
-	return kPhase - 1
+	return out
 }
 
 func (f *pathFamily) Transfer(e *groupRun, step int) {
 	j := step + 1
-	g, opt, stride := e.g, e.opt, e.gr.stride
-	var lvl []*laneState
-	var lvlWidth int64
-	for _, st := range e.live {
-		if st.k >= j {
-			lvl = append(lvl, st)
-			lvlWidth += int64(st.nb)
-		}
-	}
+	opt, stride := e.opt, e.gr.stride
+	lvl := lanesFrom(e.live, j)
 	spans := liveSpans(lvl)
 	one := CachedMulTable(1)
-	opt.obsSpan(obs.LevelName, j, "level")
-	opt.obsLevel(levelElems(g) * lvlWidth)
-	opt.parallelVertices(g, func(lo, hi int32) {
+	e.level(j, e.levelElems()*laneWidth(lvl))
+	e.sweepRows(func(lo, hi int32) {
 		var sk int64
 		for i := lo; i < hi; i++ {
 			row := int(i) * stride
 			for _, sp := range spans {
-				dst := f.cur[row+sp.lo : row+sp.hi]
-				for q := range dst {
-					dst[q] = 0
-				}
+				clear(f.cur[row+sp.Lo : row+sp.Hi])
 			}
-			for _, u := range g.Neighbors(i) {
+			for _, u := range e.g.Neighbors(i) {
 				urow := int(u) * stride
 				for _, st := range lvl {
 					src := f.prev[urow+st.off : urow+st.off+st.nb]
@@ -113,26 +107,33 @@ func (f *pathFamily) Transfer(e *groupRun, step int) {
 					}
 					t := one
 					if !opt.NoFingerprints {
-						t = st.a.EdgeTable(u, i, j)
+						t = st.a.EdgeTable(e.vid(u), e.vid(i), j)
 					}
 					gf.MulSliceTable16(f.cur[row+st.off:row+st.off+st.nb], src, t)
 				}
 			}
 			// P(i,j) = x_i · Σ_u r·P(u,j-1)
 			for _, sp := range spans {
-				gf.HadamardInto(f.cur[row+sp.lo:row+sp.hi], f.cur[row+sp.lo:row+sp.hi], f.base[row+sp.lo:row+sp.hi])
+				gf.HadamardInto(f.cur[row+sp.Lo:row+sp.Hi], f.cur[row+sp.Lo:row+sp.Hi], f.base[row+sp.Lo:row+sp.Hi])
 			}
 		}
 		e.addSkipped(sk)
 	})
 	opt.obsEnd()
 	f.prev, f.cur = f.cur, f.prev
-	n := g.NumVertices()
 	for _, st := range lvl {
 		if st.k == j {
-			st.accumulate(f.prev, stride, n)
+			st.accumulate(f.prev, stride, e.rows)
 		}
 	}
+}
+
+func (f *pathFamily) Halo(e *groupRun, step int) (int, []Halo) {
+	j := step + 1
+	if next := lanesFrom(e.live, j+1); len(next) > 0 {
+		return j, []Halo{{Vals: f.prev, Stride: e.gr.stride, Spans: liveSpans(next)}}
+	}
+	return j, nil
 }
 
 func (f *pathFamily) Finalize(e *groupRun) {}
@@ -142,7 +143,11 @@ func (f *pathFamily) Finalize(e *groupRun) {}
 // for a graph with a k-path is possible with probability ≤ ε, a "yes"
 // answer is always correct).
 func DetectPath(g *graph.Graph, k int, opt Options) (bool, error) {
-	if err := validateK(k, g.NumVertices()); err != nil {
+	if opt.Variant != VariantKoutis && opt.Variant != VariantGF8 {
+		r, err := solo(g, KindPath, BatchLane{K: k}, opt)
+		return r.Found, err
+	}
+	if err := ValidateK(k); err != nil {
 		return false, err
 	}
 	if k > g.NumVertices() {
@@ -151,37 +156,28 @@ func DetectPath(g *graph.Graph, k int, opt Options) (bool, error) {
 	if opt.Arena == nil {
 		opt.Arena = NewArena() // share slabs across this call's rounds
 	}
-	if opt.Variant == VariantKoutis || opt.Variant == VariantGF8 {
-		// The integer and GF(2^8) variants keep their own round
-		// kernels (no lane-contiguous tables); only the round loop is
-		// shared with the engine's accounting.
-		rounds := opt.RoundsFor(k)
-		for round := 0; round < rounds; round++ {
-			if err := opt.ctxErr(); err != nil {
-				return false, err
-			}
-			opt.obsSpan(obs.RoundName, round, "round")
-			opt.Obs.Add(obs.Rounds, 1)
-			var hit bool
-			switch opt.Variant {
-			case VariantKoutis:
-				hit = koutisPathRound(g, k, opt, round) != 0
-			default:
-				hit = pathRound8(g, k, opt, round) != 0
-			}
-			opt.obsEnd()
-			if hit {
-				return true, nil
-			}
+	// The integer and GF(2^8) variants keep their own round kernels (no
+	// lane-contiguous tables); only the round accounting is shared.
+	rounds := opt.RoundsFor(k)
+	for round := 0; round < rounds; round++ {
+		if err := opt.ctxErr(); err != nil {
+			return false, err
 		}
-		return false, nil
+		opt.obsSpan(obs.RoundName, round, "round")
+		opt.Obs.Add(obs.Rounds, 1)
+		var hit bool
+		switch opt.Variant {
+		case VariantKoutis:
+			hit = koutisPathRound(g, k, opt, round) != 0
+		default:
+			hit = pathRound8(g, k, opt, round) != 0
+		}
+		opt.obsEnd()
+		if hit {
+			return true, nil
+		}
 	}
-	st := soloLane(k, opt)
-	gr := &famGroup{fam: &pathFamily{}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, opt.batch(k), opt); err != nil {
-		return false, err
-	}
-	return st.found, st.err
+	return false, nil
 }
 
 // pathRound evaluates the k-path polynomial over all 2^k iterations for
@@ -189,15 +185,8 @@ func DetectPath(g *graph.Graph, k int, opt Options) (bool, error) {
 // a k-path exists): one engine sweep of a single path lane. A non-nil
 // opt.Ctx aborts between iteration batches with the context's error.
 func pathRound(g *graph.Graph, a *Assignment, opt Options) (gf.Elem, error) {
-	if opt.Arena == nil {
-		opt.Arena = NewArena()
-	}
-	st := &laneState{BatchLane: BatchLane{K: a.K}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
-	gr := &famGroup{fam: &pathFamily{}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, opt.batch(a.K), opt); err != nil {
-		return 0, err
-	}
-	return st.total, nil
+	acc, err := sweepLane(g, &pathFamily{}, &laneState{a: a}, opt)
+	return acc[0], err
 }
 
 // koutisPathRound is Algorithm 1 as printed: one full pass of 2^k

@@ -3,37 +3,57 @@ package mld
 import (
 	"github.com/midas-hpc/midas/internal/gf"
 	"github.com/midas-hpc/midas/internal/graph"
-	"github.com/midas-hpc/midas/internal/obs"
 )
 
 // treeFamily is the k-tree template polynomial as a sweep-engine
 // Family: one transfer step per decomposition node (leaves bind the
-// base row, internal nodes combine their children over the group's
-// halo of neighbor values), and every lane folds the root slab in
-// Finalize. All lanes of a group share one template shape — grouping
-// by templateDigest is the batch entry point's job.
+// base row, internal nodes combine their children over the neighbour
+// values), and every lane folds the root slab in Finalize. All lanes
+// of a group share one template shape — grouping by templateDigest is
+// RunLanes' job. Only subtrees consumed as a Right child are read at
+// neighbour rows, so only they are halo-exchanged.
 type treeFamily struct {
-	d    *graph.Decomposition
-	base []gf.Elem
-	vals [][]gf.Elem
+	d       *graph.Decomposition
+	isRight []bool
+	base    []gf.Elem
+	vals    [][]gf.Elem
 }
 
-func (f *treeFamily) Kind() string      { return "tree" }
+func newTreeFamily(d *graph.Decomposition) *treeFamily {
+	f := &treeFamily{d: d, isRight: make([]bool, len(d.Nodes))}
+	for _, nd := range d.Nodes {
+		if nd.Right >= 0 {
+			f.isRight[nd.Right] = true
+		}
+	}
+	return f
+}
+
+// templateDigest fingerprints a template's shape so batch lanes with
+// the same template share one decomposition and one phase schedule
+// (FNV over k and the adjacency lists, which NewTemplate normalizes).
+func templateDigest(t *graph.Template) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	h ^= uint64(t.K())
+	h *= prime
+	for v := int32(0); v < int32(t.K()); v++ {
+		for _, u := range t.Neighbors(v) {
+			h ^= uint64(uint32(v))<<32 | uint64(uint32(u))
+			h *= prime
+		}
+	}
+	return h
+}
+
 func (f *treeFamily) CountPhases() bool { return true }
 
 func (f *treeFamily) NewAssignment(n int, st *laneState, round int) *Assignment {
 	return NewTreeAssignment(n, st.k, st.Seed, round)
 }
 
-func (f *treeFamily) BeginRound(st *laneState) { st.total = 0 }
-
-func (f *treeFamily) EndRound(st *laneState, round int) {
-	if st.total != 0 {
-		st.found, st.done = true, true
-	} else if round+1 >= st.roundsTotal {
-		st.done = true
-	}
-}
+func (f *treeFamily) BeginRound(st *laneState)          { st.reset(1) }
+func (f *treeFamily) EndRound(st *laneState, round int) { st.foundOrDone(round) }
 
 func (f *treeFamily) Alloc(e *groupRun) {
 	n := e.g.NumVertices()
@@ -63,7 +83,7 @@ func (f *treeFamily) InitRow(e *groupRun) {
 	for i := 0; i < n; i++ {
 		row := i * stride
 		for _, st := range e.live {
-			st.a.FillBase(f.base[row+st.off:row+st.off+st.nb], int32(i), e.q0, e.opt.NoGray)
+			st.a.FillBase(f.base[row+st.off:row+st.off+st.nb], e.vid(int32(i)), e.q0, e.opt.NoGray)
 		}
 	}
 }
@@ -77,26 +97,22 @@ func (f *treeFamily) Transfer(e *groupRun, step int) {
 		f.vals[j] = f.base
 		return
 	}
-	g, opt, stride := e.g, e.opt, e.gr.stride
+	opt, stride := e.opt, e.gr.stride
 	live := e.live
 	spans := liveSpans(live)
 	one := CachedMulTable(1)
-	opt.obsSpan(obs.LevelName, j, "level")
-	opt.obsLevel(levelElems(g) * e.liveWidth())
+	e.level(j, e.levelElems()*laneWidth(live))
 	left, right := f.vals[nd.Left], f.vals[nd.Right]
 	dstAll := f.vals[j]
-	opt.parallelVertices(g, func(lo, hi int32) {
+	e.sweepRows(func(lo, hi int32) {
 		av := make([]gf.Elem, stride) // per-worker scratch, all lanes
 		var sk int64
 		for i := lo; i < hi; i++ {
 			row := int(i) * stride
 			for _, sp := range spans {
-				seg := av[sp.lo:sp.hi]
-				for q := range seg {
-					seg[q] = 0
-				}
+				clear(av[sp.Lo:sp.Hi])
 			}
-			for _, u := range g.Neighbors(i) {
+			for _, u := range e.g.Neighbors(i) {
 				urow := int(u) * stride
 				for _, st := range live {
 					src := right[urow+st.off : urow+st.off+st.nb]
@@ -108,14 +124,14 @@ func (f *treeFamily) Transfer(e *groupRun, step int) {
 					if !opt.NoFingerprints {
 						// level key: the decomposition node index,
 						// unique per subtree shape.
-						t = st.a.EdgeTable(u, i, j)
+						t = st.a.EdgeTable(e.vid(u), e.vid(i), j)
 					}
 					gf.MulSliceTable16(av[st.off:st.off+st.nb], src, t)
 				}
 			}
 			for _, sp := range spans {
 				// P(i, H') = P(i, H'_1) · Σ_u r·P(u, H'_2)
-				gf.HadamardInto(dstAll[row+sp.lo:row+sp.hi], left[row+sp.lo:row+sp.hi], av[sp.lo:sp.hi])
+				gf.HadamardInto(dstAll[row+sp.Lo:row+sp.Hi], left[row+sp.Lo:row+sp.Hi], av[sp.Lo:sp.Hi])
 			}
 		}
 		e.addSkipped(sk)
@@ -123,11 +139,18 @@ func (f *treeFamily) Transfer(e *groupRun, step int) {
 	opt.obsEnd()
 }
 
+func (f *treeFamily) Halo(e *groupRun, step int) (int, []Halo) {
+	j := step - 1
+	if f.d.Nodes[j].Left < 0 || !f.isRight[j] {
+		return j, nil // leaves are base values, computable at every row
+	}
+	return j, []Halo{{Vals: f.vals[j], Stride: e.gr.stride, Spans: liveSpans(e.live)}}
+}
+
 func (f *treeFamily) Finalize(e *groupRun) {
 	root := f.vals[f.d.Root]
-	n := e.g.NumVertices()
 	for _, st := range e.live {
-		st.accumulate(root, e.gr.stride, n)
+		st.accumulate(root, e.gr.stride, e.rows)
 	}
 }
 
@@ -137,22 +160,8 @@ func (f *treeFamily) Finalize(e *groupRun) {
 // decomposition of paper Fig 2 and evaluated exactly like the path
 // polynomial, one subtree per DP "level".
 func DetectTree(g *graph.Graph, tpl *graph.Template, opt Options) (bool, error) {
-	k := tpl.K()
-	if err := validateK(k, g.NumVertices()); err != nil {
-		return false, err
-	}
-	if k > g.NumVertices() {
-		return false, nil
-	}
-	if opt.Arena == nil {
-		opt.Arena = NewArena() // share slabs across this call's rounds
-	}
-	st := soloLane(k, opt)
-	gr := &famGroup{fam: &treeFamily{d: tpl.Decompose()}, sts: []*laneState{st}}
-	if err := runGroups(g, []*famGroup{gr}, opt.batch(k), opt); err != nil {
-		return false, err
-	}
-	return st.found, st.err
+	r, err := solo(g, KindTree, BatchLane{Template: tpl}, opt)
+	return r.Found, err
 }
 
 // treeRound evaluates the k-tree polynomial over all 2^k iterations for
@@ -160,13 +169,6 @@ func DetectTree(g *graph.Graph, tpl *graph.Template, opt Options) (bool, error) 
 // engine sweep of a single tree lane. A non-nil opt.Ctx aborts between
 // iteration batches with the context's error.
 func treeRound(g *graph.Graph, d *graph.Decomposition, a *Assignment, opt Options) (gf.Elem, error) {
-	if opt.Arena == nil {
-		opt.Arena = NewArena()
-	}
-	st := &laneState{BatchLane: BatchLane{K: a.K}, k: a.K, iters: uint64(1) << uint(a.K), a: a}
-	gr := &famGroup{fam: &treeFamily{d: d}, sts: []*laneState{st}, live: []*laneState{st}}
-	if err := sweepGroups(g, []*famGroup{gr}, opt.batch(a.K), opt); err != nil {
-		return 0, err
-	}
-	return st.total, nil
+	acc, err := sweepLane(g, newTreeFamily(d), &laneState{a: a}, opt)
+	return acc[0], err
 }

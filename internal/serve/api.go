@@ -84,6 +84,26 @@ func (r *QueryRequest) motifSpec() (*mld.MotifSpec, error) {
 	return spec, nil
 }
 
+// lane is the request as a lane of its engine kind (the caller attaches
+// the lane's context).
+func (r *QueryRequest) lane() (mld.Kind, mld.BatchLane, error) {
+	l := mld.BatchLane{K: r.K, ZMax: r.ZMax, Seed: r.Seed, Epsilon: r.Epsilon, Rounds: r.Rounds}
+	var err error
+	switch r.Kind {
+	case KindPath:
+		return mld.KindPath, l, nil
+	case KindTree:
+		l.Template, err = r.template()
+		return mld.KindTree, l, err
+	case KindScanStat:
+		return mld.KindScan, l, nil
+	case KindMotif:
+		l.Motif, err = r.motifSpec()
+		return mld.KindMotif, l, err
+	}
+	return "", l, fmt.Errorf("unknown query kind %q", r.Kind)
+}
+
 // validate normalizes the request and rejects malformed ones before
 // admission, so the queue only ever holds runnable queries.
 func (r *QueryRequest) validate() error {

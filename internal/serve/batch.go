@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"strconv"
 	"time"
@@ -10,7 +9,6 @@ import (
 	"github.com/midas-hpc/midas/internal/core"
 	"github.com/midas-hpc/midas/internal/mld"
 	"github.com/midas-hpc/midas/internal/obs"
-	"github.com/midas-hpc/midas/internal/partition"
 )
 
 // Admission batching: when Config.BatchWindow > 0, a worker that picks
@@ -38,8 +36,8 @@ type laneJob struct {
 // in-process world with one partition. Seeds, k, rounds, epsilon,
 // zmax, templates, N2 and Workers may all differ: each lane keeps its
 // own assignment, and the batch adopts the leader's sweep geometry
-// (answers are geometry-independent). Distributed batching covers
-// paths only; other kinds and shapes fall back to solo runs.
+// (answers are geometry-independent). Every kind batches, sequential
+// or distributed.
 func compatible(lead, cand *job) bool {
 	a, b := lead.Req, cand.Req
 	if lead.digest != cand.digest || a.Graph != b.Graph || a.Kind != b.Kind {
@@ -48,24 +46,7 @@ func compatible(lead, cand *job) bool {
 	if a.Ranks != b.Ranks {
 		return false
 	}
-	if a.Ranks > 1 {
-		if a.Kind != KindPath {
-			return false
-		}
-		if a.N1 != b.N1 || a.Scheme != b.Scheme {
-			return false
-		}
-	}
-	return true
-}
-
-// batchable reports whether a query may lead or join a batch at all.
-func batchable(j *job) bool {
-	r := j.Req
-	if r.Ranks > 1 {
-		return r.Kind == KindPath // core batches paths only
-	}
-	return true
+	return a.Ranks <= 1 || (a.N1 == b.N1 && a.Scheme == b.Scheme)
 }
 
 // runBatched is the worker's entry point when admission batching is
@@ -192,6 +173,7 @@ func (s *Server) executeLane(lj *laneJob) {
 // lifetime context.
 func (s *Server) executeBatch(lanes []*laneJob) {
 	first := lanes[0].j.Req
+	kind, _, _ := first.lane()
 	blanes := make([]mld.BatchLane, len(lanes))
 	laneErrs := make([]error, len(lanes))
 	laneDetail := strconv.Itoa(len(lanes)) + " lanes"
@@ -202,26 +184,10 @@ func (s *Server) executeBatch(lanes []*laneJob) {
 			tr.stageDetail(StageBatchAssembled, laneDetail)
 			tr.beginDP(req.plannedPhases())
 		}
-		bl := mld.BatchLane{
-			K: req.K, ZMax: req.ZMax,
-			Seed: req.Seed, Epsilon: req.Epsilon, Rounds: req.Rounds,
-			Ctx: lj.f.ctx,
-		}
-		switch req.Kind {
-		case KindTree:
-			tpl, err := req.template()
-			if err != nil {
-				laneErrs[i] = err // validate() makes this unreachable; fail the lane, not the batch
-			}
-			bl.Template = tpl
-		case KindMotif:
-			spec, err := req.motifSpec()
-			if err != nil {
-				laneErrs[i] = err // validate() makes this unreachable too
-			}
-			bl.Motif = spec
-		}
-		blanes[i] = bl
+		// validate() makes a lane error unreachable; it would fail the
+		// lane, not the batch.
+		_, blanes[i], laneErrs[i] = req.lane()
+		blanes[i].Ctx = lj.f.ctx
 	}
 	start := time.Now()
 	var results []mld.LaneResult
@@ -231,9 +197,9 @@ func (s *Server) executeBatch(lanes []*laneJob) {
 	case err != nil:
 		batchErr = err // graph evicted between admission and execution
 	case first.Ranks > 1:
-		results, batchErr = s.batchDistributed(entry, first, blanes)
+		results, batchErr = s.batchDistributed(entry, first, kind, blanes)
 	default:
-		results, batchErr = s.batchSequential(entry, first, blanes)
+		results, batchErr = s.batchSequential(entry, first, kind, blanes)
 	}
 	wall := time.Since(start).Seconds()
 	s.rec.Add(obs.ServeBatches, 1)
@@ -269,65 +235,34 @@ func (s *Server) executeBatch(lanes []*laneJob) {
 	}
 }
 
-// batchSequential dispatches to the shared-memory batched evaluators.
-// The sweep geometry (N2, Workers) is the leader's; every lane keeps
-// its own seeding, so answers match solo runs exactly.
-func (s *Server) batchSequential(entry *graphEntry, first *QueryRequest, blanes []mld.BatchLane) ([]mld.LaneResult, error) {
+// batchSequential runs the lanes on the shared-memory engine. The
+// sweep geometry (N2, Workers) is the leader's; every lane keeps its
+// own seeding, so answers match solo runs exactly.
+func (s *Server) batchSequential(entry *graphEntry, first *QueryRequest, kind mld.Kind, blanes []mld.BatchLane) ([]mld.LaneResult, error) {
 	opt := mld.Options{
 		N2: first.N2, Workers: first.Workers,
 		Arena: s.arena, Ctx: s.baseCtx,
 	}
-	switch first.Kind {
-	case KindPath:
-		return mld.DetectPathBatch(entry.G, blanes, opt)
-	case KindTree:
-		return mld.DetectTreeBatch(entry.G, blanes, opt)
-	case KindScanStat:
-		return mld.ScanTableBatch(entry.G, blanes, opt)
-	case KindMotif:
-		return mld.DetectMotifBatch(entry.G, blanes, opt)
-	default:
-		return nil, errors.New("serve: unbatchable kind " + first.Kind)
-	}
+	return mld.RunLanes(entry.G, kind, blanes, opt, nil)
 }
 
 // batchDistributed runs the lanes on one in-process world via
-// core.RunPathBatch, with the leader's partition (cached per graph —
+// core.RunBatch, with the leader's partition (cached per graph —
 // answers are partition-independent, so lanes with other seeds still
 // match their solo runs).
-func (s *Server) batchDistributed(entry *graphEntry, first *QueryRequest, blanes []mld.BatchLane) ([]mld.LaneResult, error) {
-	scheme := partition.Scheme(first.Scheme)
-	if scheme == "" {
-		scheme = partition.SchemeBlock
-	}
-	n1 := first.N1
-	if n1 <= 0 {
-		n1 = first.Ranks
-	}
-	part, err := entry.partitionFor(scheme, n1, first.Seed^0x70a3d70a3d70a3d7)
+func (s *Server) batchDistributed(entry *graphEntry, first *QueryRequest, kind mld.Kind, blanes []mld.BatchLane) ([]mld.LaneResult, error) {
+	cfg, err := s.distConfig(entry, first, first.Ranks, nil)
 	if err != nil {
 		return nil, err
 	}
-	cfg := core.Config{
-		N1: n1, N2: first.N2, Seed: first.Seed, Scheme: scheme,
-		Ctx: s.baseCtx, Part: part, NoTiming: true,
-	}
+	cfg.Ctx = s.baseCtx
 	var results []mld.LaneResult
-	run := func(c *comm.Comm) error {
-		res, rerr := core.RunPathBatch(c, entry.G, cfg, core.BatchSpec{Lanes: blanes})
+	err = runLocalWorld(first.Ranks, func(c *comm.Comm) error {
+		res, rerr := core.RunBatch(c, entry.G, cfg, core.BatchSpec{Kind: kind, Lanes: blanes})
 		if c.Rank() == 0 {
 			results = res
 		}
 		return rerr
-	}
-	err = comm.RunLocal(first.Ranks, comm.CostModel{}, run)
-	// Unwrap the world aggregation so clients see the cause directly.
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			err = context.DeadlineExceeded
-		} else if errors.Is(err, context.Canceled) {
-			err = context.Canceled
-		}
-	}
+	})
 	return results, err
 }

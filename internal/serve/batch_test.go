@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
@@ -120,43 +121,103 @@ func TestBatchAssemblyMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestBatchDistributedMatchesSolo: distributed path queries (ranks=2)
-// batch through core.RunPathBatch and still match the library.
+// TestBatchDistributedMatchesSolo: concurrent distributed queries of
+// every kind (ranks>1, same world shape) batch through core.RunBatch
+// and still match the library.
 func TestBatchDistributedMatchesSolo(t *testing.T) {
 	s := testServer(t, Config{Workers: 1, BatchWindow: 250 * time.Millisecond, BatchMaxLanes: 8})
 	base := "http://" + s.Addr()
-	g := graph.RandomGNM(60, 180, 1)
+	g := weightedLabeledGraph()
+	s.AddGraph("wl", g)
+	tpls := [][][2]int32{{{0, 1}, {1, 2}}, {{0, 1}, {1, 2}, {1, 3}}, {{0, 1}, {1, 2}, {2, 3}, {2, 4}}}
+	motifs := []map[string]int{nil, {"0": 2}, {"0": 1, "1": 1, "2": 1}}
 
-	seeds := []uint64{20, 21, 22}
-	var wg sync.WaitGroup
-	results := make([]JobView, len(seeds))
-	for i, seed := range seeds {
-		wg.Add(1)
-		go func(i int, seed uint64) {
-			defer wg.Done()
-			resp, body := postJSON(t, base+"/v1/query", QueryRequest{
-				Graph: "g", Kind: KindPath, K: 5 + i, Seed: seed, Rounds: 1, Ranks: 2,
-			})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("query %d: %d %s", i, resp.StatusCode, body)
-				return
+	for _, kind := range []string{KindPath, KindTree, KindScanStat, KindMotif} {
+		reqs := make([]QueryRequest, 3)
+		for i := range reqs {
+			reqs[i] = QueryRequest{Graph: "wl", Kind: kind, K: 3 + i, Seed: uint64(20 + i), Rounds: 1, Ranks: 2}
+			switch kind {
+			case KindTree:
+				reqs[i].Template = tpls[i]
+			case KindScanStat:
+				reqs[i].ZMax = int64(2 + i)
+			case KindMotif:
+				reqs[i].Motif = motifs[i]
 			}
-			results[i] = decodeJob(t, body)
-		}(i, seed)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	for i, seed := range seeds {
-		want, err := mld.DetectPath(g, 5+i, mld.Options{Seed: seed, Rounds: 1})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if results[i].Result == nil || results[i].Result.Found != want {
-			t.Fatalf("distributed query %d (k=%d): got %+v, library %v", i, 5+i, results[i].Result, want)
+		_, before := getBody(t, base+"/metrics")
+		var wg sync.WaitGroup
+		results := make([]JobView, len(reqs))
+		for i := range reqs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, body := postJSON(t, base+"/v1/query", reqs[i])
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("%s query %d: %d %s", kind, i, resp.StatusCode, body)
+					return
+				}
+				results[i] = decodeJob(t, body)
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		_, after := getBody(t, base+"/metrics")
+		lanes := metricValue(t, string(after), "midas_serve_batch_lanes_total") - metricValue(t, string(before), "midas_serve_batch_lanes_total")
+		if lanes < 2 {
+			t.Fatalf("%s: %v batched lanes, want the queries to share a batch", kind, lanes)
+		}
+		for i, r := range reqs {
+			want := librarySolo(t, g, &r)
+			got := results[i].Result
+			if got == nil || got.Found != want.Found || fmt.Sprint(got.Table) != fmt.Sprint(want.Table) {
+				t.Fatalf("distributed %s query %d: got %+v, library %+v", kind, i, got, want)
+			}
 		}
 	}
+}
+
+// weightedLabeledGraph is a small graph carrying the weights scanstat
+// queries need and the labels motif queries need.
+func weightedLabeledGraph() *graph.Graph {
+	g := graph.RandomGNM(30, 75, 4)
+	w := make([]int64, g.NumVertices())
+	l := make([]int32, g.NumVertices())
+	for v := range w {
+		w[v], l[v] = int64(v%3), int32(v%3)
+	}
+	g.SetWeights(w)
+	g.SetLabels(l)
+	return g
+}
+
+// librarySolo answers a query with the sequential library call.
+func librarySolo(t *testing.T, g *graph.Graph, r *QueryRequest) *Result {
+	t.Helper()
+	if err := r.validate(); err != nil {
+		t.Fatal(err)
+	}
+	opt := mld.Options{Seed: r.Seed, Epsilon: r.Epsilon, Rounds: r.Rounds}
+	res := &Result{Kind: r.Kind}
+	var err error
+	switch r.Kind {
+	case KindPath:
+		res.Found, err = mld.DetectPath(g, r.K, opt)
+	case KindTree:
+		tpl, _ := r.template()
+		res.Found, err = mld.DetectTree(g, tpl, opt)
+	case KindScanStat:
+		res.Table, err = mld.ScanTable(g, r.K, r.ZMax, opt)
+	case KindMotif:
+		spec, _ := r.motifSpec()
+		res.Found, err = mld.DetectMotif(g, spec, opt)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestBatchLaneCancelMasksLane: DELETE on one lane of an in-flight

@@ -17,7 +17,7 @@ import (
 	"github.com/midas-hpc/midas/internal/comm"
 	"github.com/midas-hpc/midas/internal/core"
 	"github.com/midas-hpc/midas/internal/graph"
-	"github.com/midas-hpc/midas/internal/obs"
+	"github.com/midas-hpc/midas/internal/mld"
 	"github.com/midas-hpc/midas/internal/partition"
 )
 
@@ -34,7 +34,7 @@ type LeaseWorld struct {
 // ExecuteLease runs this replica's share of a distributed query on a
 // leased TCP world. Blocks until the whole world connects (bounded by
 // Options.ConnectTimeout) and the DP finishes. The returned result
-// carries the answer and the world-total execution counters on rank 0;
+// carries the answer and the query's execution counters on rank 0;
 // peer ranks return an empty result. A peer death mid-query surfaces
 // as an error (the transport's send retries exhaust, or the endpoint
 // closes), never a hang — the cluster layer maps it to its resilient
@@ -80,20 +80,11 @@ func (s *Server) ExecuteLease(ctx context.Context, req *QueryRequest, w LeaseWor
 			err = fmt.Errorf("serve: lease rank %d/%d: %w", w.Rank, w.Size, e)
 		}
 	}()
-	c.EnableObs()
 	res = &Result{Kind: req.Kind}
 	if rerr := runDistributedKind(c, entry.G, req, cfg, res); rerr != nil {
 		return res, rerr
 	}
-	// Fold the whole world's execution counters onto the coordinator so
-	// a fleet-run query reports the same Rounds/Phases a local world
-	// would (collective: every rank participates).
-	snaps := c.GatherObsSnapshots(0)
 	if w.Rank == 0 {
-		for _, snap := range snaps {
-			res.Rounds += snap.Counter(obs.Rounds)
-			res.Phases += snap.Counter(obs.Phases)
-		}
 		res.TotalPhases = req.plannedPhases()
 	}
 	return res, nil
@@ -128,42 +119,23 @@ func (s *Server) distConfig(entry *graphEntry, req *QueryRequest, worldSize int,
 }
 
 // runDistributedKind executes one rank's share of a distributed query
-// on world c, capturing the answer into res on rank 0.
+// on world c as a one-lane core.RunBatch, capturing the answer and the
+// lane's counters into res on rank 0. The engine counts rounds once and
+// phases on the global schedule, so they match a sequential run.
 func runDistributedKind(c *comm.Comm, g *graph.Graph, req *QueryRequest, cfg core.Config, res *Result) error {
-	switch req.Kind {
-	case KindPath:
-		found, err := core.RunPath(c, g, cfg)
-		if c.Rank() == 0 {
-			res.Found = found
-		}
+	kind, lane, err := req.lane()
+	if err != nil {
 		return err
-	case KindTree:
-		tpl, err := req.template()
-		if err != nil {
-			return err
-		}
-		found, err := core.RunTree(c, g, tpl, cfg)
-		if c.Rank() == 0 {
-			res.Found = found
-		}
-		return err
-	case KindScanStat:
-		table, err := core.RunScan(c, g, core.ScanConfig{Config: cfg, ZMax: req.ZMax})
-		if c.Rank() == 0 {
-			res.Table = table
-		}
-		return err
-	case KindMotif:
-		spec, err := req.motifSpec()
-		if err != nil {
-			return err
-		}
-		found, err := core.RunMotif(c, g, spec, cfg)
-		if c.Rank() == 0 {
-			res.Found = found
-		}
-		return err
-	default:
-		return fmt.Errorf("unknown query kind %q", req.Kind)
 	}
+	lrs, err := core.RunBatch(c, g, cfg, core.BatchSpec{Kind: kind, Lanes: []mld.BatchLane{lane}})
+	if len(lrs) == 0 {
+		return err
+	}
+	if c.Rank() == 0 {
+		res.Found, res.Table, res.Rounds, res.Phases = lrs[0].Found, lrs[0].Table, lrs[0].Rounds, lrs[0].Phases
+	}
+	if err != nil {
+		return err
+	}
+	return lrs[0].Err
 }

@@ -15,10 +15,10 @@
 // its 2^k iterations at the next batch boundary.
 //
 // With Config.BatchWindow > 0, a worker additionally holds each
-// batchable query for the window and sweeps the queue for compatible
+// query for the window and sweeps the queue for compatible
 // ones (same graph digest, kind and rank layout), running them as
 // lanes of one multi-query DP execution (internal/mld's batch
-// evaluators; core.RunPathBatch when distributed). Singleflight and
+// evaluators; core.RunBatch when distributed). Singleflight and
 // the cache compose in front of batching — only flight leaders become
 // lanes — and cancellation stays per-query: a dead lane is masked out
 // of the batch while its batch-mates finish. Answers are byte-identical
@@ -429,11 +429,11 @@ func (s *Server) worker(id int) {
 }
 
 // runJob takes one admitted job through cache, singleflight, and
-// execution — batched when admission batching is on and the query is
-// batchable, solo otherwise. Followers do not occupy the worker: they
-// are parked on a resolution goroutine and the worker moves on.
+// execution — batched when admission batching is on, solo otherwise.
+// Followers do not occupy the worker: they are parked on a resolution
+// goroutine and the worker moves on.
 func (s *Server) runJob(wid int, j *job) {
-	if s.cfg.BatchWindow > 0 && batchable(j) {
+	if s.cfg.BatchWindow > 0 {
 		s.workerState[wid].Store("batching")
 		s.runBatched(j)
 		return
@@ -622,27 +622,25 @@ func (s *Server) executeDistributed(ctx context.Context, entry *graphEntry, req 
 		return err
 	}
 	cfg.Ctx = ctx
-	var mu sync.Mutex
-	run := func(c *comm.Comm) error {
-		c.EnableObs()
-		rerr := runDistributedKind(c, entry.G, req, cfg, res)
-		snap := c.ObsSnapshot()
-		mu.Lock()
-		rec.Add(obs.Rounds, snap.Counter(obs.Rounds))
-		rec.Add(obs.Phases, snap.Counter(obs.Phases))
-		mu.Unlock()
-		return rerr
-	}
-	err = comm.RunLocal(req.Ranks, comm.CostModel{}, run)
-	// Every rank returns the same context error; unwrap the world
-	// aggregation so clients see the cause directly.
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return context.DeadlineExceeded
-		}
-		if errors.Is(err, context.Canceled) {
-			return context.Canceled
-		}
+	err = runLocalWorld(req.Ranks, func(c *comm.Comm) error {
+		return runDistributedKind(c, entry.G, req, cfg, res)
+	})
+	rec.Add(obs.Rounds, res.Rounds)
+	rec.Add(obs.Phases, res.Phases)
+	return err
+}
+
+// runLocalWorld runs fn on every rank of an in-process world. Every
+// rank of a cancelled run returns the same context error; it is
+// unwrapped from the world aggregation so clients see the cause
+// directly.
+func runLocalWorld(ranks int, fn func(c *comm.Comm) error) error {
+	err := comm.RunLocal(ranks, comm.CostModel{}, fn)
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		return context.DeadlineExceeded
+	case errors.Is(err, context.Canceled):
+		return context.Canceled
 	}
 	return err
 }

@@ -360,6 +360,44 @@ func TestQueryKindsMatchLibrary(t *testing.T) {
 	}
 }
 
+// TestDistributedCountersMatchSequential: a completed distributed
+// query reports the rounds, phases and planned phases of the same
+// query at ranks=1 — counted once per query on the global phase
+// schedule, not summed over ranks.
+func TestDistributedCountersMatchSequential(t *testing.T) {
+	s := testServer(t, Config{Workers: 2})
+	base := "http://" + s.Addr()
+	s.AddGraph("wl", weightedLabeledGraph())
+	queries := []QueryRequest{
+		{Graph: "wl", Kind: KindPath, K: 5, Seed: 3, Rounds: 2, N2: 8},
+		{Graph: "wl", Kind: KindTree, Template: [][2]int32{{0, 1}, {1, 2}, {1, 3}}, Seed: 4, Rounds: 2, N2: 4},
+		{Graph: "wl", Kind: KindScanStat, K: 3, ZMax: 4, Seed: 5, Rounds: 2, N2: 2},
+		{Graph: "wl", Kind: KindMotif, K: 4, Motif: map[string]int{"0": 1, "1": 1}, Seed: 6, Rounds: 2, N2: 4},
+	}
+	for _, q := range queries {
+		var want *Result
+		for _, ranks := range []int{1, 2, 4} {
+			q.Ranks = ranks
+			resp, body := postJSON(t, base+"/v1/query", q)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s ranks=%d: %d %s", q.Kind, ranks, resp.StatusCode, body)
+			}
+			got := decodeJob(t, body).Result
+			if got == nil || got.Rounds == 0 {
+				t.Fatalf("%s ranks=%d: no execution counters: %+v", q.Kind, ranks, got)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if got.Rounds != want.Rounds || got.Phases != want.Phases || got.TotalPhases != want.TotalPhases ||
+				got.Found != want.Found || fmt.Sprint(got.Table) != fmt.Sprint(want.Table) {
+				t.Fatalf("%s ranks=%d: %+v, ranks=1 %+v", q.Kind, ranks, got, want)
+			}
+		}
+	}
+}
+
 // TestBadRequests: malformed queries are rejected before admission.
 func TestBadRequests(t *testing.T) {
 	s := testServer(t, Config{})
